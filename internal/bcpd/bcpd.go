@@ -140,6 +140,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// PerHopBound is D^RCC_max, the §5 worst-case one-hop control delay on
+// links of the given capacity: the eligibility wait (1/R_max), the residual
+// transmission of one in-flight data packet, the frame's own transmission,
+// and propagation (PropDelay). The Γ bound of a K-hop connection with b
+// backups is (K−1)·D_max + 2(b−1)(K−1)·D_max.
+func (c Config) PerHopBound(linkCapacityMbps float64) sim.Duration {
+	bps := linkCapacityMbps * 1e6
+	eligibility := sim.Duration(float64(time.Second) / c.RCC.RMax)
+	residual := sim.Duration(float64(c.DataMsgSize*8) / bps * float64(time.Second))
+	frame := sim.Duration(float64(c.RCC.SMax*8) / bps * float64(time.Second))
+	return eligibility + residual + frame + c.PropDelay
+}
+
 // Transport carries protocol traffic between daemons. The Network calls the
 // Send side from runtime-serialized protocol code; the transport delivers to
 // the far daemon by calling back into Network.deliverFrame / deliverData /

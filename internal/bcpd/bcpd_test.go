@@ -316,6 +316,85 @@ func TestReplenishRestoresFaultTolerance(t *testing.T) {
 	}
 }
 
+func TestClosureAtSourceReplenishes(t *testing.T) {
+	// A backup's last link fails for good. The node before it detects the
+	// failure at once, but the reverse of the backup's first link is down
+	// for a while, so its failure report reaches the source only when that
+	// link heals (the RCC holds the frame): the path node's rejoin timer
+	// expires first, it tears the backup down, and its closure reaches the
+	// source while the source still waits in U. The closure ends the
+	// source's timer, so the source must replenish there — its own expiry,
+	// which would have, never comes.
+	g := topology.NewTorus(4, 4, 200)
+	eng := sim.New(1)
+	mgr := core.NewManager(g, core.DefaultConfig())
+	conn, err := mgr.Establish(0, 5, rtchan.DefaultSpec(), []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(conn.Backups) != 1 || conn.Backups[0].Path.Hops() < 2 {
+		t.Fatalf("want one backup of at least 2 hops, got %v", conn.Backups)
+	}
+	lost := conn.Backups[0]
+	nodes := lost.Path.Nodes()
+	cut := lost.Path.Links()[lost.Path.Hops()-1]
+	slow := g.LinkBetween(nodes[1], nodes[0])
+	cfg := DefaultConfig()
+	cfg.RejoinTimeout = sim.Duration(300 * time.Millisecond)
+	cfg.ReplenishDelay = sim.Duration(100 * time.Millisecond)
+	cfg.ReplenishTarget = 1
+	rec := &trace.Recorder{}
+	cfg.Sink = rec
+	attachConformance(t, &cfg, conformanceParams(cfg))
+	net := New(eng, mgr, cfg)
+	eng.At(sim.Time(50*time.Millisecond), func() {
+		net.FailLink(slow)
+		net.FailLink(cut)
+	})
+	eng.At(sim.Time(250*time.Millisecond), func() { net.RepairLink(slow) })
+	eng.RunFor(2 * time.Second)
+
+	// The scenario: a path node's timer expired, the source's never did.
+	var expired []topology.NodeID
+	for _, ev := range rec.Events {
+		if ev.Kind == trace.KindRejoinExpire && ev.Channel == lost.ID {
+			expired = append(expired, ev.Node)
+		}
+	}
+	if len(expired) == 0 || expired[0] == lost.Path.Source() {
+		t.Fatalf("rejoin expiries of the lost backup at nodes %v, want a path node first", expired)
+	}
+	for _, v := range expired {
+		if v == lost.Path.Source() {
+			t.Fatalf("the source's own timer expired (nodes %v): the closure did not reach it first", expired)
+		}
+	}
+	if mgr.Network().Channel(lost.ID) != nil {
+		t.Fatal("lost backup still registered")
+	}
+	// The connection is back at its backup target, on a route that avoids
+	// the dead link.
+	if len(conn.Backups) != cfg.ReplenishTarget {
+		t.Fatalf("backups = %d after the closure, want %d", len(conn.Backups), cfg.ReplenishTarget)
+	}
+	for _, b := range conn.Backups {
+		if b.Path.ContainsLink(cut) {
+			t.Fatalf("replenished backup %v crosses the dead link %d", b.Path, cut)
+		}
+		for _, v := range b.Path.Nodes() {
+			if st := net.Daemon(v).State(b.ID); st != stateB {
+				t.Fatalf("node %d state %v on the replenished backup, want B", v, st)
+			}
+		}
+	}
+	if got := net.Stats().BackupsReplenished; got != 1 {
+		t.Fatalf("backups replenished = %d, want 1", got)
+	}
+	if err := mgr.CheckMuxInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReplenishDisabledByDefault(t *testing.T) {
 	tb := newTestbed(t, DefaultConfig())
 	tb.eng.At(sim.Time(50*time.Millisecond), func() {

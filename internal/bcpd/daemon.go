@@ -35,6 +35,12 @@ func (s chanState) String() string {
 	}
 }
 
+// route is a daemon's forwarding soft state for one channel.
+type route struct {
+	path topology.Path
+	conn rtchan.ConnID
+}
+
 // daemon is the BCP daemon at one node.
 type daemon struct {
 	net  *Network
@@ -58,12 +64,13 @@ type daemon struct {
 	// state when the channel returns to N. Unused (fresh closures per arm)
 	// under PerMessageDispatch.
 	probeFns map[rtchan.ChannelID]func()
-	// paths is the daemon's own copy of each installed channel's route —
-	// the forwarding soft state a real daemon keeps. It outlives the
-	// resource plane's registry entry so teardown closures can still be
-	// forwarded hop-by-hop after the channel has been reclaimed, and is
-	// deleted when the channel returns to state N here.
-	paths map[rtchan.ChannelID]topology.Path
+	// routes is the daemon's own copy of each installed channel's route and
+	// connection — the forwarding soft state a real daemon keeps. It
+	// outlives the resource plane's registry entry so teardown closures can
+	// still be forwarded hop-by-hop (and a source can still tell which
+	// connection lost a channel) after the channel has been reclaimed, and
+	// is deleted when the channel returns to state N here.
+	routes map[rtchan.ChannelID]route
 	// knownFailedBackups lets an end node skip backups it has received
 	// failure reports for when selecting a serial to activate.
 	knownFailedBackups map[rtchan.ChannelID]bool
@@ -77,7 +84,7 @@ func newDaemon(n *Network, id topology.NodeID) *daemon {
 		rejoinTimers:       make(map[rtchan.ChannelID]rejoinRef),
 		rejoinStaged:       make(map[rtchan.ChannelID]int),
 		probeFns:           make(map[rtchan.ChannelID]func()),
-		paths:              make(map[rtchan.ChannelID]topology.Path),
+		routes:             make(map[rtchan.ChannelID]route),
 		knownFailedBackups: make(map[rtchan.ChannelID]bool),
 	}
 }
@@ -89,7 +96,7 @@ func (d *daemon) setState(ch rtchan.ChannelID, s chanState) {
 	old := d.states[ch]
 	if s == stateN {
 		delete(d.states, ch)
-		delete(d.paths, ch)
+		delete(d.routes, ch)
 		delete(d.knownFailedBackups, ch)
 		delete(d.probeFns, ch)
 	} else {
@@ -103,20 +110,21 @@ func (d *daemon) setState(ch rtchan.ChannelID, s chanState) {
 // install seeds the daemon's soft state for a channel routed through this
 // node: the Figure-4 state plus the daemon's own copy of the route.
 func (d *daemon) install(ch *rtchan.Channel, s chanState) {
-	d.paths[ch.ID] = ch.Path
+	d.routes[ch.ID] = route{path: ch.Path, conn: ch.Conn}
 	d.setState(ch.ID, s)
 }
 
-// pathOf resolves a channel's route from the daemon's forwarding soft state,
-// falling back to the resource plane for channels installed out-of-band.
-func (d *daemon) pathOf(chID rtchan.ChannelID) (topology.Path, bool) {
-	if p, ok := d.paths[chID]; ok {
-		return p, true
+// routeOf resolves a channel's route from the daemon's forwarding soft
+// state, falling back to the resource plane for channels installed
+// out-of-band.
+func (d *daemon) routeOf(chID rtchan.ChannelID) (route, bool) {
+	if r, ok := d.routes[chID]; ok {
+		return r, true
 	}
 	if ch := d.channel(chID); ch != nil {
-		return ch.Path, true
+		return route{path: ch.Path, conn: ch.Conn}, true
 	}
-	return topology.Path{}, false
+	return route{}, false
 }
 
 func (d *daemon) channel(id rtchan.ChannelID) *rtchan.Channel {
@@ -707,14 +715,24 @@ func (d *daemon) abandonRejoin(ch *rtchan.Channel) {
 
 func (d *daemon) handleClosure(c wireControl) {
 	chID := rtchan.ChannelID(c.Channel)
-	path, known := d.pathOf(chID)
+	r, known := d.routeOf(chID)
 	d.stopRejoinTimer(chID)
 	if d.states[chID] == stateN {
 		return
 	}
 	d.setState(chID, stateN)
-	if known {
-		d.forwardAlongPath(path, c)
+	if !known {
+		return
+	}
+	d.forwardAlongPath(r.path, c)
+	// A closure that ends one of this source's channels does what the
+	// source's own rejoin-timer expiry would have (rejoinExpire): restore
+	// the connection's backup count. A path node whose timer expired first
+	// sends the closure and stops the source's timer here, so without this
+	// the lost backup would never be replaced. Duplicate requests are
+	// harmless.
+	if d.id == r.path.Source() {
+		d.net.scheduleReplenish(r.conn)
 	}
 }
 

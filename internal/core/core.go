@@ -137,6 +137,9 @@ type Manager struct {
 
 	nextConn rtchan.ConnID
 	muxDec   muxDecisionScratch // per-addBackup mutualExclusion memo
+	// piScratch collects a backup's Π on one link in addBackupToLink
+	// before it is copied out at its final size.
+	piScratch []rtchan.ChannelID
 	// piMarks stamps the primary path of the backup being added, so the
 	// admission scan's shared-component counts are array loads (decideMux).
 	piMarks topology.PathMarks

@@ -267,7 +267,12 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 	memo := m.muxDec.forChan == ch.ID
 	// Tentatively wire the new entry into the Π structure. No undo log is
 	// kept: the rare rollback below reconstructs the growth by scanning for
-	// Π memberships, exactly as removeBackupFromLink does.
+	// Π memberships, exactly as removeBackupFromLink does. The new entry's Π
+	// is collected in a reused scratch buffer and copied out once at its
+	// final size: growing it in place by doubling allocates log2 |Π| times
+	// per link, which dominates a replenishment's allocations on a busy
+	// link.
+	pi := m.piScratch[:0]
 	for i := range lm.entries {
 		e := &lm.entries[i]
 		var newInE, eInNew bool
@@ -287,9 +292,13 @@ func (m *Manager) addBackupToLink(l topology.LinkID, conn *DConnection, ch *rtch
 			lm.noteReq(e.req)
 		}
 		if eInNew {
-			entry.pi = append(entry.pi, e.ch.ID)
+			pi = append(pi, e.ch.ID)
 			entry.req += e.ch.Bandwidth()
 		}
+	}
+	m.piScratch = pi
+	if len(pi) > 0 {
+		entry.pi = append([]rtchan.ChannelID(nil), pi...)
 	}
 	lm.entries = append(lm.entries, entry)
 	lm.noteReq(entry.req)

@@ -50,18 +50,6 @@ func protocolTimingConfig() bcpd.Config {
 	return cfg
 }
 
-// perHopBound computes D^RCC_max for our RCC-over-priority-scheduler model:
-// worst-case one-hop control delay = eligibility wait (1/R_max) + residual
-// transmission of one in-flight lower-priority packet + the frame's own
-// transmission + propagation.
-func perHopBound(cfg bcpd.Config, linkCapacityMbps float64, dataMsgSize int) sim.Duration {
-	bps := linkCapacityMbps * 1e6
-	eligibility := sim.Duration(float64(time.Second) / cfg.RCC.RMax)
-	residual := sim.Duration(float64(dataMsgSize*8) / bps * float64(time.Second))
-	frame := sim.Duration(float64(cfg.RCC.SMax*8) / bps * float64(time.Second))
-	return eligibility + residual + frame + cfg.PropDelay
-}
-
 // RunSection5 validates the §5.3 recovery-delay bound on the paper's torus:
 // a K-hop D-connection with 1 or 2 backups carries traffic, one primary link
 // at each position fails, and the measured source recovery delay Γ is
@@ -73,7 +61,7 @@ func RunSection5(opts Options) Section5Result {
 	cfg := protocolTimingConfig()
 	res := Section5Result{
 		Hops:     hops,
-		DMax:     perHopBound(cfg, 200, cfg.DataMsgSize),
+		DMax:     cfg.PerHopBound(200),
 		AllBound: true,
 	}
 	// Single backup: sweep every failure position.

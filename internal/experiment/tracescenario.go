@@ -103,7 +103,7 @@ func RunTraceScenario(s TraceScenario) (TraceRun, error) {
 		Conn:   conn,
 		Net:    net,
 		FailAt: sim.Time(50 * time.Millisecond),
-		DMax:   perHopBound(cfg, 200, cfg.DataMsgSize),
+		DMax:   cfg.PerHopBound(200),
 	}
 	failLink := conn.Primary.Path.Links()[s.FailPos]
 	run.FailedLinks = append(run.FailedLinks, failLink)

@@ -19,23 +19,45 @@
 //
 // # Timers
 //
-// The timer arena is the PR-6 design verbatim: an index-based 4-ary min-heap
-// over pooled, generation-stamped slots, value sim.Timer handles, O(log n)
-// Stop, release-before-fire so a callback can re-arm into its own slot. A
-// single timer goroutine sleeps until the earliest deadline, then fires due
-// events under the execution lock; because popping happens with both locks
-// held, Stop returning true still guarantees the callback never runs.
+// Timers live in a sim.TimerHeap, the simulator's own arena: an index-based
+// 4-ary min-heap over pooled, generation-stamped slots, value sim.Timer
+// handles, O(log n) Stop, release-before-fire so a callback can re-arm into
+// its own slot. Timers fire on two paths, both under the execution lock:
+//
+//   - Inline. Every serialized callback — actor mailbox item, Exec closure,
+//     timer round — ends with a drain pass that, before mu is released, pops
+//     and runs each timer already due. The pass is bounded: timers armed
+//     while it runs wait for the next pass. A callback that arms a due-now
+//     timer (an RCC frame eligible at once) therefore sends it on its own
+//     goroutine, with no hand-off to the timer goroutine.
+//   - The sleeper. A single timer goroutine sleeps toward the earliest
+//     deadline and runs a drain pass when it arrives. Arming a timer moves
+//     the sleeper's deadline only when the new one comes first; inside a
+//     callback even that is left to the callback's drain pass, which re-arms
+//     the sleeper once for whatever is still pending. On Linux the sleeper
+//     waits on a timerfd registered with the Go netpoller: the kernel fires
+//     it at its deadline with no timer slack and the expiry wakes the
+//     netpoller at once, so a sub-millisecond deadline is met within tens of
+//     microseconds (a Go timer's sleep is rounded up to the next millisecond
+//     once the netpoller is busy), and the waiting goroutine holds no P.
+//     Other systems sleep on a Go timer (sleep_other.go).
+//
+// Each timer is popped with both mu and tmu held, one at a time, so Stop
+// returning true still guarantees the callback never runs — even when an
+// earlier callback of the same drain pass is the one that stops it.
 //
 // # Shutdown
 //
-// Stop closes a shared stop channel and waits for the timer and actor
-// goroutines. Mailbox channels are never closed — senders race shutdown, and
-// a send on a closed channel would panic — instead Post observes the stop
-// channel and reports the drop. Stop must not be called from a protocol
-// callback (it would deadlock on its own execution lock).
+// Stop closes a shared stop channel, wakes the sleeper and waits for the
+// timer and actor goroutines, then closes the sleeper's timerfd. Mailbox
+// channels are never closed — senders race shutdown, and a send on a closed
+// channel would panic — instead Post observes the stop channel and reports
+// the drop. Stop must not be called from a protocol callback (it would
+// deadlock on its own execution lock).
 package realtime
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -48,16 +70,8 @@ import (
 // The wall-clock runtime stands wherever sim.Engine does.
 var _ runtime.Runtime = (*Runtime)(nil)
 
-// timerSlot mirrors sim's arena entry: generation-stamped so stale handles
-// read as dead, with the slot's heap position tracked for O(log n) removal.
-type timerSlot struct {
-	at        sim.Time
-	seq       uint64
-	fn        func()
-	gen       uint32
-	pos       int32 // index in Runtime.heap; -1 when not queued
-	prevFired bool
-}
+// never is the sleeper's deadline while no timer is pending.
+const never = sim.Time(math.MaxInt64)
 
 // Runtime drives protocol daemons on the wall clock. Create with New, start
 // actors with StartActors, and always Stop it (not from a protocol callback).
@@ -65,20 +79,25 @@ type Runtime struct {
 	start time.Time // monotonic epoch; Now() is nanoseconds since here
 
 	// mu is the execution lock: every protocol callback — timer fire, actor
-	// mailbox item, Exec closure — runs under it. tmu guards the timer arena
-	// only. Lock order is mu before tmu; Schedule/At/Stop take only tmu so
-	// callbacks already holding mu can re-arm and cancel timers.
+	// mailbox item, Exec closure — runs under it. tmu guards the timer heap,
+	// sleepUntil and the sleeper's arm/close. Lock order is mu before tmu;
+	// Schedule/At/Stop take only tmu so callbacks already holding mu can
+	// re-arm and cancel timers.
 	mu  sync.Mutex
 	tmu sync.Mutex
 
-	slots []timerSlot
-	free  []int32 // recycled arena slots
-	heap  []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
-	seq   uint64
+	timers sim.TimerHeap
+	// sleepUntil is the deadline the timer goroutine sleeps toward; arming
+	// an earlier one lowers it and re-arms the sleeper.
+	sleepUntil sim.Time
+	sl         sleeper
+	// inCallback is set while the holder of mu runs protocol code. Arms made
+	// meanwhile leave re-arming the sleeper to the closing drain pass, which
+	// clears the flag under tmu.
+	inCallback atomic.Bool
 
 	rng *rand.Rand // only touched under mu (runtime-serialized callbacks)
 
-	wake    chan struct{} // kicks the timer goroutine when an earlier deadline arrives
 	stop    chan struct{}
 	stopped atomic.Bool
 	wg      sync.WaitGroup
@@ -89,12 +108,16 @@ type Runtime struct {
 
 // New creates a runtime with a seeded random source and starts its timer
 // goroutine. The caller owns the lifecycle and must call Stop.
-func New(seed int64) *Runtime {
+func New(seed int64) *Runtime { return newRuntime(seed, newSleeper()) }
+
+// newRuntime is New with the timer goroutine's sleeper supplied.
+func newRuntime(seed int64, sl sleeper) *Runtime {
 	r := &Runtime{
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(seed)),
-		wake:  make(chan struct{}, 1),
-		stop:  make(chan struct{}),
+		start:      time.Now(),
+		rng:        rand.New(rand.NewSource(seed)),
+		stop:       make(chan struct{}),
+		sleepUntil: never,
+		sl:         sl,
 	}
 	r.wg.Add(1)
 	go r.timerLoop()
@@ -118,50 +141,24 @@ func (r *Runtime) Schedule(d sim.Duration, fn func()) sim.Timer {
 	return r.At(r.Now().Add(d), fn)
 }
 
-// At runs fn at absolute runtime-clock time t, clamped to now.
+// At runs fn at absolute runtime-clock time t; a t already past fires at
+// the next drain pass.
 func (r *Runtime) At(t sim.Time, fn func()) sim.Timer {
 	if fn == nil {
 		panic("realtime: nil event function")
 	}
 	r.tmu.Lock()
-	var idx int32
-	if n := len(r.free); n > 0 {
-		idx = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		r.slots = append(r.slots, timerSlot{})
-		idx = int32(len(r.slots) - 1)
-	}
-	s := &r.slots[idx]
-	s.at = t
-	s.seq = r.seq
-	s.fn = fn
-	r.seq++
-	s.pos = int32(len(r.heap))
-	r.heap = append(r.heap, idx)
-	r.siftUp(int(s.pos))
-	gen := s.gen
-	becameEarliest := r.heap[0] == idx
+	tm := r.timers.Push(r, t, fn)
+	r.nudge(t)
 	r.tmu.Unlock()
-
-	if becameEarliest {
-		// The new deadline may precede what the timer goroutine is sleeping
-		// toward; nudge it to recompute.
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-	}
-	return sim.MakeTimer(r, idx, gen, t)
+	return tm
 }
 
 // ScheduleBatch schedules every function in fns to run after delay d
 // (clamped to zero), appending one handle per function to out and returning
 // it. Semantically identical to len(fns) sequential Schedule calls, but the
 // timer lock is taken once for the whole batch, the heap is restored once
-// (per-item sift-up for small batches, bottom-up heapify when the batch
-// rivals the standing population), and the timer goroutine is nudged at
-// most once. Recovery storms arm their per-channel rejoin timers here.
+// (sim.TimerHeap.PushBatch), and the sleeper is re-armed at most once.
 func (r *Runtime) ScheduleBatch(d sim.Duration, fns []func(), out []sim.Timer) []sim.Timer {
 	if d < 0 {
 		d = 0
@@ -169,55 +166,28 @@ func (r *Runtime) ScheduleBatch(d sim.Duration, fns []func(), out []sim.Timer) [
 	if len(fns) == 0 {
 		return out
 	}
-	t := r.Now().Add(d)
-	r.tmu.Lock()
-	var oldEarliest int32 = -1
-	if len(r.heap) > 0 {
-		oldEarliest = r.heap[0]
-	}
-	start := len(r.heap)
 	for _, fn := range fns {
 		if fn == nil {
-			r.tmu.Unlock()
 			panic("realtime: nil event function")
 		}
-		var idx int32
-		if n := len(r.free); n > 0 {
-			idx = r.free[n-1]
-			r.free = r.free[:n-1]
-		} else {
-			r.slots = append(r.slots, timerSlot{})
-			idx = int32(len(r.slots) - 1)
-		}
-		s := &r.slots[idx]
-		s.at = t
-		s.seq = r.seq
-		s.fn = fn
-		r.seq++
-		s.pos = int32(len(r.heap))
-		r.heap = append(r.heap, idx)
-		out = append(out, sim.MakeTimer(r, idx, s.gen, t))
 	}
-	n := len(r.heap)
-	if k := n - start; k*4 < n || n < 8 {
-		for i := start; i < n; i++ {
-			r.siftUp(i)
-		}
-	} else {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			r.siftDown(i)
-		}
-	}
-	becameEarliest := r.heap[0] != oldEarliest
+	t := r.Now().Add(d)
+	r.tmu.Lock()
+	out = r.timers.PushBatch(r, t, fns, out)
+	r.nudge(t)
 	r.tmu.Unlock()
-
-	if becameEarliest {
-		select {
-		case r.wake <- struct{}{}:
-		default:
-		}
-	}
 	return out
+}
+
+// nudge re-arms the sleeper when t precedes the deadline it sleeps toward.
+// Inside a callback that is left to the callback's drain pass, which runs t
+// itself if it is due by then and otherwise re-arms the sleeper once.
+// Caller holds tmu.
+func (r *Runtime) nudge(t sim.Time) {
+	if t < r.sleepUntil && !r.inCallback.Load() {
+		r.sleepUntil = t
+		r.sl.arm(t.Sub(r.Now()))
+	}
 }
 
 // StopTimer implements sim.TimerHost: cancel the (idx, gen) slot if that
@@ -226,164 +196,87 @@ func (r *Runtime) ScheduleBatch(d sim.Duration, fns []func(), out []sim.Timer) [
 func (r *Runtime) StopTimer(idx int32, gen uint32) bool {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
-	s := &r.slots[idx]
-	if s.gen != gen {
-		return false // already fired or stopped
-	}
-	r.removeAt(int(s.pos))
-	r.release(idx, false)
-	return true
+	return r.timers.Stop(idx, gen)
 }
 
 // TimerActive implements sim.TimerHost.
 func (r *Runtime) TimerActive(idx int32, gen uint32) bool {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
-	return r.slots[idx].gen == gen
+	return r.timers.Active(idx, gen)
 }
 
 // TimerFired implements sim.TimerHost.
 func (r *Runtime) TimerFired(idx int32, gen uint32) bool {
 	r.tmu.Lock()
 	defer r.tmu.Unlock()
-	s := &r.slots[idx]
-	if s.gen == gen {
-		return false // still pending
-	}
-	return s.prevFired
+	return r.timers.Fired(idx, gen)
 }
 
-// release retires slot idx's current generation and recycles it. Caller
-// holds tmu.
-func (r *Runtime) release(idx int32, fired bool) {
-	s := &r.slots[idx]
-	s.fn = nil
-	s.pos = -1
-	s.prevFired = fired
-	s.gen++
-	r.free = append(r.free, idx)
-}
-
-func (r *Runtime) less(a, b int32) bool {
-	sa, sb := &r.slots[a], &r.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-func (r *Runtime) siftUp(i int) {
-	item := r.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := r.heap[parent]
-		if !r.less(item, p) {
-			break
-		}
-		r.heap[i] = p
-		r.slots[p].pos = int32(i)
-		i = parent
-	}
-	r.heap[i] = item
-	r.slots[item].pos = int32(i)
-}
-
-func (r *Runtime) siftDown(i int) {
-	n := len(r.heap)
-	item := r.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if r.less(r.heap[c], r.heap[best]) {
-				best = c
+// drain is the pass that closes every serialized callback. Called with mu
+// held and inCallback set, it pops and runs each timer already due when the
+// pass starts, one at a time: the pop takes tmu, so a timer stopped by an
+// earlier callback of the pass is gone from the heap, and the slot is
+// released before its callback runs, so the callback can re-arm into it.
+// Timers armed during the pass carry a sequence number past the bound and
+// wait for the next one; after Stop nothing fires. Finally, under the same
+// tmu hold that clears inCallback, the sleeper is re-armed if anything still
+// pending precedes its deadline — unless the sleeper itself is draining
+// (fromSleeper) and about to recompute that deadline anyway.
+func (r *Runtime) drain(fromSleeper bool) {
+	r.tmu.Lock()
+	if r.timers.Len() > 0 && !r.stopped.Load() {
+		now, bound := r.Now(), r.timers.Seq()
+		for {
+			at, seq, ok := r.timers.Peek()
+			if !ok || at > now || seq >= bound {
+				break
 			}
+			_, fn := r.timers.Pop()
+			r.tmu.Unlock()
+			fn()
+			r.tmu.Lock()
 		}
-		if !r.less(r.heap[best], item) {
-			break
-		}
-		r.heap[i] = r.heap[best]
-		r.slots[r.heap[i]].pos = int32(i)
-		i = best
 	}
-	r.heap[i] = item
-	r.slots[item].pos = int32(i)
+	r.inCallback.Store(false)
+	if !fromSleeper {
+		if at, _, ok := r.timers.Peek(); ok && at < r.sleepUntil {
+			r.sleepUntil = at
+			r.sl.arm(at.Sub(r.Now()))
+		}
+	}
+	r.tmu.Unlock()
 }
 
-func (r *Runtime) removeAt(i int) {
-	n := len(r.heap) - 1
-	last := r.heap[n]
-	r.heap = r.heap[:n]
-	if i == n {
-		return
-	}
-	r.heap[i] = last
-	r.slots[last].pos = int32(i)
-	r.siftDown(i)
-	r.siftUp(int(r.slots[last].pos))
-}
-
-// timerLoop sleeps until the earliest deadline, then fires everything due.
-// Firing takes mu first, then tmu (the global lock order), pops and releases
-// each due slot, drops tmu, and runs the callbacks still under mu — so a
-// protocol callback holding mu can never observe a popped-but-unrun timer,
-// and release-before-fire lets callbacks re-arm into their own slot.
+// timerLoop sleeps toward the earliest deadline and runs a drain pass when
+// it arrives. sleepUntil is published, the sleeper armed and the stop flag
+// read under one tmu hold, so an earlier arm — or Stop's — that lands
+// before the wait begins re-arms the sleeper rather than being overwritten.
 func (r *Runtime) timerLoop() {
 	defer r.wg.Done()
-	wait := time.NewTimer(time.Hour)
-	defer wait.Stop()
-	var due []func() // reused across rounds
 	for {
 		r.tmu.Lock()
-		var sleep time.Duration
-		if len(r.heap) == 0 {
-			sleep = time.Hour
-		} else {
-			sleep = time.Duration(r.slots[r.heap[0]].at - r.Now())
-			if sleep < 0 {
-				sleep = 0
-			}
-		}
-		r.tmu.Unlock()
-
-		if !wait.Stop() {
-			select {
-			case <-wait.C:
-			default:
-			}
-		}
-		wait.Reset(sleep)
-		select {
-		case <-r.stop:
+		if r.stopped.Load() {
+			r.tmu.Unlock()
 			return
-		case <-r.wake:
-			continue // earlier deadline arrived; recompute the sleep
-		case <-wait.C:
 		}
-
-		r.mu.Lock()
-		r.tmu.Lock()
-		now := r.Now()
-		for len(r.heap) > 0 && r.slots[r.heap[0]].at <= now {
-			idx := r.heap[0]
-			fn := r.slots[idx].fn
-			r.removeAt(0)
-			r.release(idx, true)
-			due = append(due, fn)
+		next := never
+		if at, _, ok := r.timers.Peek(); ok {
+			next = at
+		}
+		r.sleepUntil = next
+		d := next.Sub(r.Now())
+		if d > 0 {
+			r.sl.arm(min(d, time.Hour))
 		}
 		r.tmu.Unlock()
-		for i, fn := range due {
-			fn()
-			due[i] = nil
+		if d > 0 {
+			r.sl.wait()
+			continue
 		}
-		due = due[:0]
+		r.mu.Lock()
+		r.inCallback.Store(true)
+		r.drain(true)
 		r.mu.Unlock()
 	}
 }
@@ -413,9 +306,7 @@ func (r *Runtime) actorLoop(mb chan func()) {
 		case <-r.stop:
 			return
 		case fn := <-mb:
-			r.mu.Lock()
-			fn()
-			r.mu.Unlock()
+			r.Exec(fn)
 		}
 	}
 }
@@ -439,12 +330,14 @@ func (r *Runtime) Post(node int, fn func()) bool {
 }
 
 // Exec runs fn under the execution lock, serialized with every timer and
-// actor callback. External goroutines (tests, cmd/bcplive) use it to touch
+// actor callback, followed by a drain pass for the timers it leaves due. External goroutines (tests, cmd/bcplive) use it to touch
 // protocol state safely. Never call it from inside a protocol callback.
 func (r *Runtime) Exec(fn func()) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.inCallback.Store(true)
 	fn()
+	r.drain(false)
 }
 
 // Dropped returns how many mailbox posts were refused.
@@ -459,5 +352,15 @@ func (r *Runtime) Stop() {
 		return
 	}
 	close(r.stop)
+	r.tmu.Lock()
+	// End the sleeper's wait; it sees stopped and exits. Publishing the
+	// wake as its deadline keeps a callback still draining from re-arming
+	// it later: arms only ever move the deadline earlier.
+	r.sleepUntil = r.Now()
+	r.sl.arm(0)
+	r.tmu.Unlock()
 	r.wg.Wait()
+	r.tmu.Lock()
+	r.sl.close()
+	r.tmu.Unlock()
 }

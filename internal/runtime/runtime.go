@@ -6,8 +6,10 @@
 //   - sim.Engine: deterministic virtual time. Events fire in (time, FIFO)
 //     order on a single goroutine; runs are bit-identical for a given seed.
 //   - realtime.Runtime: wall clock. Timers fire from a monotonic-clock heap,
-//     and all protocol callbacks are serialized on one execution lock so the
-//     daemons keep their single-threaded world view.
+//     inline at the end of the callback that finds them due or from a
+//     sleeping timer goroutine, and all protocol callbacks are serialized on
+//     one execution lock so the daemons keep their single-threaded world
+//     view.
 //
 // Timer handles are sim.Timer values regardless of which runtime issued them
 // (the handle delegates to its issuing sim.TimerHost), so protocol code that
@@ -40,8 +42,8 @@ type Runtime interface {
 	// appending one handle per function to out (reusing its capacity) and
 	// returning it. Equivalent to len(fns) sequential Schedule calls — same
 	// deadlines, same FIFO order — but the host restores its timer heap
-	// (and, on the wall clock, takes its timer lock and nudges the timer
-	// goroutine) once per batch instead of once per timer.
+	// (and, on the wall clock, takes its timer lock and re-arms its
+	// sleeper) once per batch instead of once per timer.
 	ScheduleBatch(d sim.Duration, fns []func(), out []sim.Timer) []sim.Timer
 	// RNG returns the runtime's random source. It is only safe to use from
 	// runtime-serialized callbacks.

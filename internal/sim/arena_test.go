@@ -50,12 +50,12 @@ func TestSlotRecycling(t *testing.T) {
 	e := New(1)
 	first := e.Schedule(time.Millisecond, func() {})
 	e.Step()
-	if len(e.slots) != 1 {
-		t.Fatalf("slots = %d, want 1", len(e.slots))
+	if len(e.q.slots) != 1 {
+		t.Fatalf("slots = %d, want 1", len(e.q.slots))
 	}
 	second := e.Schedule(time.Millisecond, func() {})
-	if len(e.slots) != 1 {
-		t.Fatalf("slot not recycled: slots = %d", len(e.slots))
+	if len(e.q.slots) != 1 {
+		t.Fatalf("slot not recycled: slots = %d", len(e.q.slots))
 	}
 	if first.Active() {
 		t.Fatal("fired handle reads active after slot reuse")
@@ -334,7 +334,7 @@ func TestDifferentialVsContainerHeap(t *testing.T) {
 				}
 			case r < 10: // fire next
 				var subjectFired bool
-				if len(e.heap) > 0 {
+				if e.Pending() > 0 {
 					subjectFired = true
 					e.Step()
 				}
@@ -368,7 +368,7 @@ func TestDifferentialVsContainerHeap(t *testing.T) {
 		// Drain both and compare full firing order via clock at each step.
 		for {
 			var subjectFired bool
-			if len(e.heap) > 0 {
+			if e.Pending() > 0 {
 				subjectFired = true
 				e.Step()
 			}

@@ -5,12 +5,14 @@
 // Events scheduled at equal times fire in scheduling order (FIFO), so runs
 // are reproducible for a given seed.
 //
-// The event queue is an index-based 4-ary min-heap over a pooled,
-// generation-stamped timer arena: Schedule/At hand out value handles rather
-// than boxed pointers, cancellation removes the slot from the heap in
+// The event queue is a TimerHeap: an index-based 4-ary min-heap over a
+// pooled, generation-stamped timer arena. Schedule/At hand out value handles
+// rather than boxed pointers, cancellation removes the slot from the heap in
 // O(log n) via its stored heap position (no lazy-deletion garbage
 // accumulating in long rejoin-heavy runs), and freed slots are recycled
 // through a free list, so steady-state scheduling performs zero allocations.
+// The wall-clock runtime (internal/realtime) keeps its timers in the same
+// TimerHeap type.
 package sim
 
 import (
@@ -40,9 +42,9 @@ func (t Time) String() string { return Duration(t).String() }
 
 // TimerHost is the issuing runtime's side of a Timer handle: the three
 // queries a handle needs against the arena slot it names. *Engine implements
-// it for simulated time; internal/realtime implements it over a wall-clock
-// heap with the same generation-stamp semantics, so protocol code holds one
-// Timer type regardless of which runtime issued it.
+// it for simulated time; internal/realtime implements it on the wall clock
+// over the same TimerHeap, so protocol code holds one Timer type regardless
+// of which runtime issued it.
 type TimerHost interface {
 	// StopTimer cancels the (idx, gen) slot if that generation is still
 	// pending, reporting whether the cancellation prevented the fire.
@@ -64,26 +66,6 @@ type Timer struct {
 	idx  int32
 	gen  uint32
 	at   Time
-}
-
-// MakeTimer builds a handle for a sibling TimerHost implementation (the
-// wall-clock runtime). Simulation code never needs it: Engine issues its own
-// handles.
-func MakeTimer(h TimerHost, idx int32, gen uint32, at Time) Timer {
-	return Timer{host: h, idx: idx, gen: gen, at: at}
-}
-
-// timerSlot is one arena entry. gen is bumped every time the slot is
-// released (fire or stop), invalidating all outstanding handles to the
-// retired generation; prevFired records how that generation ended so a
-// just-retired handle can still answer Fired exactly.
-type timerSlot struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	gen       uint32
-	pos       int32 // index in Engine.heap; -1 when not queued
-	prevFired bool
 }
 
 // Stop cancels the timer, unlinking it from the event heap in O(log n). It
@@ -121,10 +103,7 @@ func (t Timer) When() Time { return t.at }
 // traces reproducible.
 type Engine struct {
 	now       Time
-	slots     []timerSlot
-	free      []int32 // recycled arena slots
-	heap      []int32 // 4-ary min-heap of slot indices, ordered by (at, seq)
-	seq       uint64
+	q         TimerHeap
 	rng       *rand.Rand
 	processed uint64
 }
@@ -145,7 +124,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events currently scheduled. Stopped timers
 // leave the queue immediately, so the count is exact.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.q.Len() }
 
 // Schedule runs fn after delay d. A negative delay panics: the simulated
 // world cannot rewrite its past.
@@ -161,212 +140,43 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
 	}
-	if fn == nil {
-		panic("sim: nil event function")
-	}
-	var idx int32
-	if n := len(e.free); n > 0 {
-		idx = e.free[n-1]
-		e.free = e.free[:n-1]
-	} else {
-		e.slots = append(e.slots, timerSlot{})
-		idx = int32(len(e.slots) - 1)
-	}
-	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
-	s.fn = fn
-	e.seq++
-	s.pos = int32(len(e.heap))
-	e.heap = append(e.heap, idx)
-	e.siftUp(int(s.pos))
-	return Timer{host: e, idx: idx, gen: s.gen, at: t}
+	return e.q.Push(e, t, fn)
 }
 
 // ScheduleBatch schedules every function in fns to run after delay d,
 // appending one handle per function to out (whose capacity is reused) and
 // returning it. The batch behaves exactly like len(fns) sequential Schedule
 // calls — same deadlines, same FIFO order among the batch and against
-// everything else in the queue — but the heap is restored once per batch:
-// small batches sift each new slot up individually, while a batch that
-// rivals the standing population re-heapifies bottom-up in O(n). Recovery
-// storms arm their per-channel rejoin timers through this path.
+// everything else in the queue — but the heap is restored once per batch
+// (TimerHeap.PushBatch). Recovery storms arm their per-channel rejoin
+// timers through this path.
 func (e *Engine) ScheduleBatch(d Duration, fns []func(), out []Timer) []Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	t := e.now.Add(d)
-	start := len(e.heap)
-	for _, fn := range fns {
-		if fn == nil {
-			panic("sim: nil event function")
-		}
-		var idx int32
-		if n := len(e.free); n > 0 {
-			idx = e.free[n-1]
-			e.free = e.free[:n-1]
-		} else {
-			e.slots = append(e.slots, timerSlot{})
-			idx = int32(len(e.slots) - 1)
-		}
-		s := &e.slots[idx]
-		s.at = t
-		s.seq = e.seq
-		s.fn = fn
-		e.seq++
-		s.pos = int32(len(e.heap))
-		e.heap = append(e.heap, idx)
-		out = append(out, Timer{host: e, idx: idx, gen: s.gen, at: t})
-	}
-	e.restoreSuffix(start)
-	return out
-}
-
-// restoreSuffix restores the heap property after new entries were appended
-// at positions [start, len). Per-item sift-up costs O(k log n); when the
-// batch rivals the standing population a bottom-up heapify is O(n) total
-// and wins. Either strategy yields the same (at, seq) firing order.
-func (e *Engine) restoreSuffix(start int) {
-	n := len(e.heap)
-	k := n - start
-	if k == 0 {
-		return
-	}
-	if k*4 < n || n < 8 {
-		for i := start; i < n; i++ {
-			e.siftUp(i)
-		}
-		return
-	}
-	for i := (n - 2) / 4; i >= 0; i-- {
-		e.siftDown(i)
-	}
+	return e.q.PushBatch(e, e.now.Add(d), fns, out)
 }
 
 // StopTimer implements TimerHost: it cancels the (idx, gen) slot if that
 // generation is still pending, unlinking it from the heap in O(log n).
-func (e *Engine) StopTimer(idx int32, gen uint32) bool {
-	s := &e.slots[idx]
-	if s.gen != gen {
-		return false // already fired or stopped
-	}
-	e.removeAt(int(s.pos))
-	e.release(idx, false)
-	return true
-}
+func (e *Engine) StopTimer(idx int32, gen uint32) bool { return e.q.Stop(idx, gen) }
 
 // TimerActive implements TimerHost.
-func (e *Engine) TimerActive(idx int32, gen uint32) bool {
-	return e.slots[idx].gen == gen
-}
+func (e *Engine) TimerActive(idx int32, gen uint32) bool { return e.q.Active(idx, gen) }
 
 // TimerFired implements TimerHost.
-func (e *Engine) TimerFired(idx int32, gen uint32) bool {
-	s := &e.slots[idx]
-	if s.gen == gen {
-		return false // still pending
-	}
-	return s.prevFired
-}
-
-// release retires slot idx's current generation (recording how it ended)
-// and returns the slot to the free list.
-func (e *Engine) release(idx int32, fired bool) {
-	s := &e.slots[idx]
-	s.fn = nil
-	s.pos = -1
-	s.prevFired = fired
-	s.gen++
-	e.free = append(e.free, idx)
-}
-
-// less orders heap entries by firing time, then scheduling order (FIFO for
-// equal deadlines).
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
-}
-
-// siftUp restores the heap property from position i toward the root,
-// keeping each slot's stored heap position current.
-func (e *Engine) siftUp(i int) {
-	item := e.heap[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := e.heap[parent]
-		if !e.less(item, p) {
-			break
-		}
-		e.heap[i] = p
-		e.slots[p].pos = int32(i)
-		i = parent
-	}
-	e.heap[i] = item
-	e.slots[item].pos = int32(i)
-}
-
-// siftDown restores the heap property from position i toward the leaves.
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	item := e.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.less(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.less(e.heap[best], item) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.slots[e.heap[i]].pos = int32(i)
-		i = best
-	}
-	e.heap[i] = item
-	e.slots[item].pos = int32(i)
-}
-
-// removeAt unlinks the heap entry at position i in O(log n).
-func (e *Engine) removeAt(i int) {
-	n := len(e.heap) - 1
-	last := e.heap[n]
-	e.heap = e.heap[:n]
-	if i == n {
-		return
-	}
-	e.heap[i] = last
-	e.slots[last].pos = int32(i)
-	// The moved entry may need to travel either direction.
-	e.siftDown(i)
-	e.siftUp(int(e.slots[last].pos))
-}
+func (e *Engine) TimerFired(idx int32, gen uint32) bool { return e.q.Fired(idx, gen) }
 
 // Step executes the next pending event, advancing the clock. It reports
 // whether an event was executed (false when the queue is empty).
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if e.q.Len() == 0 {
 		return false
 	}
-	idx := e.heap[0]
-	s := &e.slots[idx]
-	e.now = s.at
-	fn := s.fn
-	e.removeAt(0)
-	// Release before running fn: the event may reschedule into this slot,
-	// and any handle to the fired generation must already read as dead.
-	e.release(idx, true)
+	// Pop releases the slot before fn runs: the event may reschedule into
+	// it, and any handle to the fired generation must already read as dead.
+	at, fn := e.q.Pop()
+	e.now = at
 	e.processed++
 	fn()
 	return true
@@ -381,7 +191,11 @@ func (e *Engine) Run() {
 // RunUntil executes events with firing times <= t, then advances the clock
 // to exactly t.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
+	for {
+		at, _, ok := e.q.Peek()
+		if !ok || at > t {
+			break
+		}
 		e.Step()
 	}
 	if t > e.now {
